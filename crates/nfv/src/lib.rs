@@ -43,6 +43,8 @@ pub mod chain;
 mod changes;
 pub mod control;
 pub mod error;
+#[cfg(test)]
+mod golden_tests;
 pub mod ledger;
 pub mod lifecycle;
 pub mod orchestrator;
