@@ -43,8 +43,6 @@ pub mod chain;
 mod changes;
 pub mod control;
 pub mod error;
-#[cfg(test)]
-mod golden_tests;
 pub mod ledger;
 pub mod lifecycle;
 pub mod orchestrator;
@@ -75,3 +73,6 @@ pub use recovery::{RecoveryOutcome, RecoveryReport};
 pub use sdn::{FlowRule, SdnController, TableFull};
 pub use slicing::{OpticalSlice, SliceRegistry};
 pub use vnf::{ResourceDemand, VnfSpec, VnfType};
+
+#[cfg(test)]
+mod golden_tests;
