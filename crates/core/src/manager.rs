@@ -49,11 +49,6 @@ impl VirtualCluster {
         self.label.as_str()
     }
 
-    /// The interned label id (integer compare, no string walk).
-    pub fn label_id(&self) -> LabelId {
-        self.label
-    }
-
     /// The member VMs, sorted.
     pub fn vms(&self) -> &[VmId] {
         &self.vms
@@ -514,13 +509,6 @@ impl ClusterManager {
             self.availability.release(ops);
         }
         true
-    }
-
-    /// Currently powered-off OPSs, sorted.
-    pub fn powered_off_ops(&self) -> Vec<OpsId> {
-        let mut v: Vec<_> = self.powered_off.iter().copied().collect();
-        v.sort();
-        v
     }
 
     /// Currently failed OPSs, sorted.

@@ -168,16 +168,6 @@ impl<L, R, E> Bipartite<L, R, E> {
         self.right_adj[r.0].iter().map(|&(_, l)| l)
     }
 
-    /// Iterates over all left ids.
-    pub fn left_ids(&self) -> impl Iterator<Item = LeftId> {
-        (0..self.left.len()).map(LeftId)
-    }
-
-    /// Iterates over all right ids.
-    pub fn right_ids(&self) -> impl Iterator<Item = RightId> {
-        (0..self.right.len()).map(RightId)
-    }
-
     /// Iterates over `(left, right, weight)` for all edges.
     pub fn edges(&self) -> impl Iterator<Item = (LeftId, RightId, &E)> {
         self.edges.iter().map(|(l, r, w)| (*l, *r, w))

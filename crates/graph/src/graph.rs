@@ -174,11 +174,6 @@ impl<N, E> Graph<N, E> {
         self.edges.get(edge.0).map(|e| &e.weight)
     }
 
-    /// Returns a mutable reference to the weight of `edge`.
-    pub fn edge_weight_mut(&mut self, edge: EdgeId) -> Option<&mut E> {
-        self.edges.get_mut(edge.0).map(|e| &mut e.weight)
-    }
-
     /// Returns the endpoints `(a, b)` of `edge`.
     pub fn edge_endpoints(&self, edge: EdgeId) -> Option<(NodeId, NodeId)> {
         self.edges.get(edge.0).map(|e| (e.a, e.b))
@@ -215,11 +210,6 @@ impl<N, E> Graph<N, E> {
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len()).map(NodeId)
-    }
-
-    /// Iterates over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
     }
 
     /// Iterates over `(id, weight)` for all nodes.

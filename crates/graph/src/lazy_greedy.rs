@@ -124,11 +124,6 @@ impl<K: Ord> LazySelector<K> {
         self.stats
     }
 
-    /// Number of heap entries, counting stale duplicates.
-    pub fn entry_count(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Returns `true` if no entries remain.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()

@@ -306,11 +306,6 @@ impl ControlPlane {
         ControlPlaneBuilder::new().build(dc)
     }
 
-    /// The data center this control plane manages.
-    pub fn data_center(&self) -> &Arc<DataCenter> {
-        &self.dc
-    }
-
     /// The configured batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size

@@ -43,6 +43,7 @@ pub mod chain;
 mod changes;
 pub mod control;
 pub mod error;
+mod footprint;
 pub mod ledger;
 pub mod lifecycle;
 pub mod orchestrator;
@@ -63,6 +64,7 @@ pub use control::{
     ControlPlaneBuilder, InstanceView, Intent, IntentEffect, IntentId, IntentKind, IntentLog,
     IntentOutcome, IntentRecord, SchedulerMode, StateView, TenantQuota, TenantView,
 };
+pub use footprint::AuditViolation;
 pub use error::{DeployError, Error, ErrorKind, LifecycleError, PlacementError, PowerError};
 pub use ledger::ShardedLedger;
 pub use lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};

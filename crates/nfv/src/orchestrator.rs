@@ -12,13 +12,12 @@
 //! its slice, install SDN flow rules, and drive every VNF instance through
 //! its lifecycle.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use alvc_core::construction::{construct_layers, AlConstruct};
 use alvc_core::{ClusterId, ClusterManager, LabelId};
 use alvc_graph::NodeId;
-use alvc_optical::routing::try_path_edges;
-use alvc_optical::{route_flow_within, HybridPath, OeoCostModel, RoutingError};
+use alvc_optical::{HybridPath, OeoCostModel};
 use alvc_topology::{
     DataCenter, Element, ElementHealth, OpsId, PhysNode, PowerOverlay, ServerId, TorId, VmId,
 };
@@ -26,9 +25,10 @@ use alvc_topology::{
 use crate::chain::{ChainSpec, Nfc, NfcId};
 use crate::changes::ChangeSet;
 use crate::error::{DeployError, Error};
+use crate::footprint::{Hosts, Part, Scope};
 use crate::ledger::ShardedLedger;
 use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
-use crate::placement::{PlacementContext, VnfPlacer};
+use crate::placement::VnfPlacer;
 use crate::sdn::SdnController;
 use crate::slicing::SliceRegistry;
 use crate::vnf::ResourceDemand;
@@ -134,8 +134,8 @@ pub struct Orchestrator {
 
 /// Configures and builds an [`Orchestrator`].
 ///
-/// Replaces the constructor-per-knob pattern
-/// ([`Orchestrator::with_sdn_table_limit`] is deprecated in its favor):
+/// Every knob (SDN table limit, O/E/O cost model, telemetry opt-out) is
+/// set here:
 ///
 /// ```
 /// use alvc_nfv::Orchestrator;
@@ -218,22 +218,6 @@ impl Orchestrator {
     /// model, telemetry opt-out).
     pub fn builder() -> OrchestratorBuilder {
         OrchestratorBuilder::new()
-    }
-
-    /// Creates an orchestrator whose switches hold at most `limit` flow
-    /// rules each (hardware TCAM capacity); deployments whose path would
-    /// overflow a switch's table are rejected with
-    /// [`DeployError::RuleTableFull`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    #[deprecated(note = "use Orchestrator::builder().sdn_table_limit(limit).build()")]
-    pub fn with_sdn_table_limit(limit: usize) -> Self {
-        Orchestrator {
-            sdn: SdnController::with_table_limit(limit),
-            ..Orchestrator::default()
-        }
     }
 
     /// The cluster manager (read access).
@@ -336,7 +320,7 @@ impl Orchestrator {
 
     /// A chain path's one-way latency including conversion latency, in
     /// microseconds.
-    fn path_latency_us(&self, path: &HybridPath) -> f64 {
+    pub(crate) fn path_latency_us(&self, path: &HybridPath) -> f64 {
         path.latency_us() + self.oeo.path_conversion_latency_us(path)
     }
 
@@ -347,58 +331,6 @@ impl Orchestrator {
     /// consolidation plan.
     pub fn chain_latency_us(&self, id: NfcId) -> Option<f64> {
         self.chain(id).map(|c| self.path_latency_us(c.path()))
-    }
-
-    /// Latency-budget admission against the spec's effective budget (the
-    /// tighter of `max_latency_us` and the QoS latency SLO).
-    pub(crate) fn check_latency(
-        &self,
-        spec: &ChainSpec,
-        path: &HybridPath,
-    ) -> Result<(), DeployError> {
-        if let Some(budget) = spec.effective_latency_budget_us() {
-            let path_us = self.path_latency_us(path);
-            if path_us > budget {
-                return Err(DeployError::LatencyBudgetExceeded {
-                    budget_us: budget,
-                    path_us,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Admission check: verifies `bandwidth_gbps` fits on every edge of
-    /// `path` on top of `ledger`. A path hop with no corresponding link in
-    /// the topology (a path computed before a switch or link failed)
-    /// surfaces as [`DeployError::MissingEdge`], never a panic.
-    pub(crate) fn check_bandwidth(
-        dc: &DataCenter,
-        ledger: &ShardedLedger,
-        path: &HybridPath,
-        bandwidth_gbps: f64,
-    ) -> Result<Vec<alvc_graph::EdgeId>, DeployError> {
-        let edges = try_path_edges(dc, path).map_err(|e| match e {
-            RoutingError::MissingLink { from, to } => DeployError::MissingEdge { from, to },
-            other => DeployError::Routing(other),
-        })?;
-        let requested = kbps(bandwidth_gbps);
-        for &e in &edges {
-            let capacity = kbps(
-                dc.graph()
-                    .edge_weight(e)
-                    .expect("edge from try_path_edges exists")
-                    .bandwidth_gbps,
-            );
-            let committed = ledger.committed(e);
-            if committed + requested > capacity {
-                return Err(DeployError::InsufficientBandwidth {
-                    requested_gbps: bandwidth_gbps,
-                    available_gbps: capacity.saturating_sub(committed) as f64 / 1e6,
-                });
-            }
-        }
-        Ok(edges)
     }
 
     /// Deploys `spec` for a tenant owning `vms`: creates the virtual
@@ -453,7 +385,7 @@ impl Orchestrator {
                 }
             }
         };
-        let result = self.deploy_into_cluster(dc, cluster, &vms, spec, placer);
+        let result = self.deploy_into_cluster(dc, cluster, spec, placer);
         match result {
             Ok(id) => {
                 alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
@@ -532,7 +464,7 @@ impl Orchestrator {
                                 .create_cluster(dc, tenant, vms.clone(), constructor)?
                         }
                     };
-                    match self.deploy_into_cluster(dc, cluster, &vms, spec, placer) {
+                    match self.deploy_into_cluster(dc, cluster, spec, placer) {
                         Ok(id) => Ok(id),
                         Err(e) => {
                             self.manager.remove_cluster(cluster);
@@ -565,20 +497,12 @@ impl Orchestrator {
         &mut self,
         dc: &DataCenter,
         cluster: ClusterId,
-        vms: &[VmId],
         spec: ChainSpec,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, DeployError> {
         // Idempotent: partitions the bandwidth ledger by pod the first time
         // a multi-pod topology is seen (a cheap no-op afterwards).
         self.link_committed.bind_pods(dc);
-        let al = self
-            .manager
-            .cluster(cluster)
-            .expect("cluster just created")
-            .al()
-            .clone();
-
         // A chain whose ingress/egress VM sits on a dead server cannot be
         // served no matter where its VNFs land.
         if !self.server_usable(dc.server_of_vm(spec.ingress))
@@ -586,143 +510,24 @@ impl Orchestrator {
         {
             return Err(DeployError::EndpointFailed);
         }
-
-        // 2. Place the VNFs (failed servers are not placement candidates).
-        let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
-        let hosts = {
-            let mut place_span = alvc_telemetry::trace::child_span("nfv.place");
-            let ctx = PlacementContext {
-                dc,
-                al: &al,
-                opto_used: &self.opto_used,
-                server_used: &self.server_used,
-                servers: &servers,
-            };
-            match placer.place(&ctx, &spec) {
-                Ok(h) => h,
-                Err(e) => {
-                    place_span.fail("placement");
-                    return Err(e.into());
-                }
-            }
-        };
-        debug_assert_eq!(hosts.len(), spec.vnfs.len());
-
-        // Defense in depth: whatever the placer did, a placement that
-        // violates the spec's rules is rejected here — before routing,
-        // admission, or any ledger commit — so rule enforcement does not
-        // depend on which `VnfPlacer` the caller supplied.
-        if let Some(rule) = spec.violated_rule(dc, &hosts) {
-            return Err(DeployError::RuleViolated { rule });
-        }
-
-        // 3. Route ingress → VNFs → egress inside the slice, over healthy
-        //    elements only.
-        let mut allowed: HashSet<NodeId> = al
-            .switch_nodes(dc)
-            .into_iter()
-            .filter(|&n| self.node_usable(dc, n))
-            .collect();
-        for &s in &servers {
-            allowed.insert(dc.node_of_server(s));
-        }
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.ingress)));
-        for h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(*s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(*o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.egress)));
-        let path = {
-            let mut route_span = alvc_telemetry::trace::child_span("nfv.route");
-            match route_flow_within(dc, &allowed, &waypoints) {
-                Ok(p) => p,
-                Err(e) => {
-                    route_span.fail("routing");
-                    return Err(e.into());
-                }
-            }
-        };
-
-        // 4. Admission ("network resource requirements (node and links)",
-        //    §IV.A): per-link bandwidth and the chain's latency budget.
-        let edges = {
-            let mut admit_span = alvc_telemetry::trace::child_span("nfv.admit_bandwidth");
-            let edges =
-                match Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps) {
-                    Ok(edges) => edges,
-                    Err(e) => {
-                        admit_span.fail(e.code());
-                        return Err(e);
-                    }
-                };
-            if let Err(e) = self.check_latency(&spec, &path) {
-                admit_span.fail(e.code());
-                return Err(e);
-            }
-            edges
-        };
-
-        // 5. Flow-rule installation is the last fallible step (TCAM
-        //    limits); everything after it is infallible commitment.
         let id = NfcId(self.next_chain);
-        {
-            let mut install_span = alvc_telemetry::trace::child_span("nfv.install_rules");
-            if let Err(e) = self.sdn.try_install_path(id, &path) {
-                install_span.fail("rule_table_full");
-                return Err(DeployError::RuleTableFull(e));
-            }
-        }
+        let admitted = self.admit(dc, id, &spec, cluster, Hosts::Place(placer), Scope::Slice)?;
         self.next_chain += 1;
-        for &e in &edges {
-            self.link_committed.commit(e, kbps(spec.bandwidth_gbps));
-        }
-        for (h, v) in hosts.iter().zip(&spec.vnfs) {
-            match h {
-                HostLocation::Server(s) => {
-                    let e = self.server_used.entry(*s).or_default();
-                    *e = e.plus(&v.demand);
-                }
-                HostLocation::OptoRouter(o) => {
-                    let e = self.opto_used.entry(*o).or_default();
-                    *e = e.plus(&v.demand);
-                }
-            }
-        }
         self.slices
             .bind(id, cluster)
             .expect("fresh chain id and cluster are unbound");
-        let mut instance_ids = Vec::with_capacity(hosts.len());
-        for (h, v) in hosts.iter().zip(&spec.vnfs) {
-            let iid = VnfInstanceId(self.next_instance);
-            self.next_instance += 1;
-            let mut inst = VnfInstance::new(iid, *v, *h);
-            inst.activate().expect("fresh instance activates");
-            self.instances.insert(iid, inst);
-            self.changes.instance(iid);
-            instance_ids.push(iid);
-        }
-        self.changes.chain(id);
-        self.changes.cluster(cluster);
-        self.changes.edges(&edges);
         self.chains.insert(
             id,
             DeployedChain {
                 nfc: Nfc::new(id, spec),
                 cluster,
-                hosts,
-                instances: instance_ids,
-                path,
-                edges,
+                hosts: admitted.hosts,
+                instances: Vec::new(),
+                path: admitted.path,
+                edges: admitted.edges,
             },
         );
+        self.commit(id, Part::All);
         Ok(id)
     }
 
@@ -737,70 +542,12 @@ impl Orchestrator {
         if !self.chains.contains_key(&id) {
             return Err(DeployError::UnknownChain(id).into());
         }
-        // Replicas belong to the chain: scale them in first so their
-        // capacity and map entries go with it.
-        for replica in self.replicas_of(id) {
-            let _ = self.scale_in(replica);
-        }
-        let deployed = self.chains.remove(&id).expect("checked above");
-        for (&iid, (h, v)) in deployed
-            .instances
-            .iter()
-            .zip(deployed.hosts.iter().zip(deployed.nfc.vnfs()))
-        {
-            self.terminate_and_collect(iid);
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = self.server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = self.opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        self.release_edges(&deployed.edges, deployed.nfc.spec().bandwidth_gbps);
-        self.sdn.remove_chain(id);
-        self.slices.unbind(id);
-        self.degraded.remove(&id);
-        self.manager.remove_cluster(deployed.cluster);
-        self.changes.chain(id);
-        self.changes.cluster(deployed.cluster);
-        for &iid in &deployed.instances {
-            self.changes.instance(iid);
-        }
-        self.changes.edges(&deployed.edges);
+        let deployed = self.remove_chain(id);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.teardowns").incr();
         if !self.quiet {
             alvc_telemetry::event!("alvc_nfv.orchestrator.chain_torn_down", "nfc" = id.index());
         }
         Ok(deployed)
-    }
-
-    /// Terminates an instance (if it is still serving) and removes it from
-    /// the instance map. Keeping terminated instances around grows memory
-    /// without bound under churn.
-    pub(crate) fn terminate_and_collect(&mut self, iid: VnfInstanceId) {
-        if let Some(mut inst) = self.instances.remove(&iid) {
-            if inst.state() != VnfState::Terminated {
-                inst.transition(VnfState::Terminated)
-                    .expect("serving states may terminate");
-            }
-        }
-    }
-
-    /// Releases `bandwidth_gbps` from the ledger on every edge in `edges`,
-    /// dropping entries that reach zero. Integer kb/s arithmetic makes the
-    /// release exact: a deploy/teardown round trip restores the ledger
-    /// bit-for-bit.
-    pub(crate) fn release_edges(&mut self, edges: &[alvc_graph::EdgeId], bandwidth_gbps: f64) {
-        let bw = kbps(bandwidth_gbps);
-        for &e in edges {
-            self.link_committed.release(e, bw);
-        }
     }
 
     /// Modifies a deployed chain in place (§IV.B "modification,
@@ -822,14 +569,16 @@ impl Orchestrator {
         new_spec: ChainSpec,
         placer: &dyn VnfPlacer,
     ) -> Result<(), Error> {
-        let deployed = self.chains.get(&id).ok_or(DeployError::UnknownChain(id))?;
-        let cluster = deployed.cluster;
+        let cluster = self
+            .chains
+            .get(&id)
+            .ok_or(DeployError::UnknownChain(id))?
+            .cluster;
         let vms = self
             .manager
             .cluster(cluster)
             .expect("slice cluster exists")
-            .vms()
-            .to_vec();
+            .vms();
         if !vms.contains(&new_spec.ingress) || !vms.contains(&new_spec.egress) {
             return Err(DeployError::EndpointOutsideCluster.into());
         }
@@ -840,142 +589,23 @@ impl Orchestrator {
             return Err(DeployError::EndpointFailed.into());
         }
 
-        // Plan the new placement against a ledger *without* this chain's
-        // current usage, so modification can reuse its own capacity.
-        let mut opto_used = self.opto_used.clone();
-        let mut server_used = self.server_used.clone();
-        for (h, v) in deployed.hosts.iter().zip(deployed.nfc.vnfs()) {
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        let al = self
-            .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .al()
-            .clone();
-        let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
-        let hosts = {
-            let ctx = PlacementContext {
-                dc,
-                al: &al,
-                opto_used: &opto_used,
-                server_used: &server_used,
-                servers: &servers,
-            };
-            placer.place(&ctx, &new_spec)?
-        };
-        // Same admission-time rule enforcement as the deploy path.
-        if let Some(rule) = new_spec.violated_rule(dc, &hosts) {
-            return Err(DeployError::RuleViolated { rule }.into());
-        }
-        let mut allowed: HashSet<NodeId> = al
-            .switch_nodes(dc)
-            .into_iter()
-            .filter(|&n| self.node_usable(dc, n))
-            .collect();
-        for &s in &servers {
-            allowed.insert(dc.node_of_server(s));
-        }
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(new_spec.ingress)));
-        for h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(*s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(*o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(new_spec.egress)));
-        let path = route_flow_within(dc, &allowed, &waypoints)?;
-
-        // Bandwidth admission against a ledger without this chain's own
-        // commitment.
-        let mut link_committed = self.link_committed.clone();
-        let old_bw = kbps(deployed.nfc.spec().bandwidth_gbps);
-        for &e in &deployed.edges {
-            link_committed.release(e, old_bw);
-        }
-        let new_edges = Self::check_bandwidth(dc, &link_committed, &path, new_spec.bandwidth_gbps)?;
-        self.check_latency(&new_spec, &path)?;
-        for &e in &new_edges {
-            link_committed.commit(e, kbps(new_spec.bandwidth_gbps));
-        }
-
-        // Commit: swap rules first (the last fallible step — the
-        // controller frees this chain's own slots during the check and the
-        // old rules survive a failure), then terminate old instances and
-        // swap ledgers.
-        let old = self.chains.remove(&id).expect("checked above");
-        if let Err(e) = self.sdn.try_install_path(id, &path) {
-            self.chains.insert(id, old);
-            return Err(DeployError::RuleTableFull(e).into());
-        }
-        // The chain's VNF set changes: the old instances are
-        // garbage-collected (their replicas go after the ledger swap, so
-        // the release lands on the live ledgers).
-        for &iid in &old.instances {
-            self.terminate_and_collect(iid);
-            self.changes.instance(iid);
-        }
-        for (h, v) in hosts.iter().zip(&new_spec.vnfs) {
-            match h {
-                HostLocation::Server(s) => {
-                    let e = server_used.entry(*s).or_default();
-                    *e = e.plus(&v.demand);
-                }
-                HostLocation::OptoRouter(o) => {
-                    let e = opto_used.entry(*o).or_default();
-                    *e = e.plus(&v.demand);
-                }
-            }
-        }
-        self.opto_used = opto_used;
-        self.server_used = server_used;
-        self.link_committed = link_committed;
-        // Replicas mirrored the old VNF set; scale them in now that the
-        // planned ledgers (which still carry their demand) are live.
+        // Plan against ledgers *without* this chain's own usage, so
+        // modification can reuse its own capacity; the old deployment
+        // stays untouched until the plan is admitted.
+        let admitted = self.plan_without(id, |orch| {
+            orch.admit(dc, id, &new_spec, cluster, Hosts::Place(placer), Scope::Slice)
+        })?;
+        self.release(id, Part::All);
+        let chain = self.chains.get_mut(&id).expect("checked above");
+        chain.nfc = Nfc::new(id, new_spec);
+        chain.hosts = admitted.hosts;
+        chain.path = admitted.path;
+        chain.edges = admitted.edges;
+        self.commit(id, Part::All);
+        // Replicas mirrored the old VNF set.
         for replica in self.replicas_of(id) {
             let _ = self.scale_in(replica);
         }
-        let mut instance_ids = Vec::with_capacity(hosts.len());
-        for (h, v) in hosts.iter().zip(&new_spec.vnfs) {
-            let iid = VnfInstanceId(self.next_instance);
-            self.next_instance += 1;
-            let mut inst = VnfInstance::new(iid, *v, *h);
-            inst.activate().expect("fresh instance activates");
-            self.instances.insert(iid, inst);
-            self.changes.instance(iid);
-            instance_ids.push(iid);
-        }
-        self.changes.chain(id);
-        self.changes.edges(&old.edges);
-        self.changes.edges(&new_edges);
-        self.chains.insert(
-            id,
-            DeployedChain {
-                nfc: Nfc::new(id, new_spec),
-                cluster,
-                hosts,
-                instances: instance_ids,
-                path,
-                edges: new_edges,
-            },
-        );
         alvc_telemetry::counter!("alvc_nfv.orchestrator.modifications").incr();
         if !self.quiet {
             alvc_telemetry::event!("alvc_nfv.orchestrator.chain_modified", "nfc" = id.index());
@@ -1069,24 +699,16 @@ impl Orchestrator {
             .into());
         };
         let spec = deployed.nfc.vnfs()[chain_position];
-        let cluster = deployed.cluster;
-        let al = self
+        let original_iid = deployed.instances[chain_position];
+        let vc = self
             .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .al()
-            .clone();
-        let vms = self
-            .manager
-            .cluster(cluster)
-            .expect("slice cluster exists")
-            .vms()
-            .to_vec();
+            .cluster(deployed.cluster)
+            .expect("slice cluster exists");
 
         // Prefer a different healthy optoelectronic router with capacity;
         // fall back to a different healthy least-loaded server.
         let mut replica_host = None;
-        for &o in al.ops() {
+        for &o in vc.al().ops() {
             if HostLocation::OptoRouter(o) == original_host || !self.ops_usable(o) {
                 continue;
             }
@@ -1100,7 +722,7 @@ impl Orchestrator {
             }
         }
         if replica_host.is_none() {
-            let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
+            let mut servers: Vec<ServerId> = vc.vms().iter().map(|&v| dc.server_of_vm(v)).collect();
             servers.sort();
             servers.dedup();
             replica_host = servers
@@ -1120,32 +742,16 @@ impl Orchestrator {
             .into());
         };
 
-        // Commit capacity and lifecycle.
-        match host {
-            HostLocation::Server(s) => {
-                let e = self.server_used.entry(s).or_default();
-                *e = e.plus(&spec.demand);
-            }
-            HostLocation::OptoRouter(o) => {
-                let e = self.opto_used.entry(o).or_default();
-                *e = e.plus(&spec.demand);
-            }
-        }
-        let original_iid = deployed.instances[chain_position];
+        self.charge(host, &spec.demand);
         if let Some(inst) = self.instances.get_mut(&original_iid) {
             // Scaling event on the original; ignore if it is mid-operation.
             let _ = inst.transition(VnfState::Scaling);
             let _ = inst.transition(VnfState::Active);
         }
-        let iid = VnfInstanceId(self.next_instance);
-        self.next_instance += 1;
-        let mut inst = VnfInstance::new(iid, spec, host);
-        inst.activate().expect("fresh instance activates");
-        self.instances.insert(iid, inst);
+        self.changes.instance(original_iid);
+        let iid = self.spawn(spec, host);
         self.replicas.insert(iid, (chain, chain_position));
         self.changes.chain(chain);
-        self.changes.instance(original_iid);
-        self.changes.instance(iid);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_outs").incr();
         Ok(iid)
     }
@@ -1164,28 +770,10 @@ impl Orchestrator {
             return Err(DeployError::UnknownChain(NfcId(usize::MAX)).into());
         };
         self.changes.chain(chain);
-        self.changes.instance(replica);
-        let mut inst = self
-            .instances
-            .remove(&replica)
+        let inst = self
+            .terminate_and_collect(replica)
             .expect("replica instance exists");
-        let (host, demand) = (inst.host(), inst.spec().demand);
-        if inst.state() != VnfState::Terminated {
-            inst.transition(VnfState::Terminated)
-                .expect("serving states may terminate");
-        }
-        match host {
-            HostLocation::Server(s) => {
-                if let Some(e) = self.server_used.get_mut(&s) {
-                    *e = e.saturating_minus(&demand);
-                }
-            }
-            HostLocation::OptoRouter(o) => {
-                if let Some(e) = self.opto_used.get_mut(&o) {
-                    *e = e.saturating_minus(&demand);
-                }
-            }
-        }
+        self.refund(inst.host(), &inst.spec().demand);
         alvc_telemetry::counter!("alvc_nfv.orchestrator.scale_ins").incr();
         Ok(())
     }
@@ -1255,7 +843,8 @@ mod tests {
             .unwrap()
             .al()
             .clone();
-        let mut allowed: HashSet<NodeId> = al.switch_nodes(&dc).into_iter().collect();
+        let mut allowed: std::collections::HashSet<NodeId> =
+            al.switch_nodes(&dc).into_iter().collect();
         for &v in &vms {
             allowed.insert(dc.node_of_server(dc.server_of_vm(v)));
         }
@@ -1355,7 +944,7 @@ mod tests {
             }
             fn place(
                 &self,
-                _ctx: &PlacementContext<'_>,
+                _ctx: &crate::placement::PlacementContext<'_>,
                 _chain: &ChainSpec,
             ) -> Result<Vec<HostLocation>, crate::PlacementError> {
                 Err(crate::PlacementError::NoElectronicHost)
@@ -2144,8 +1733,7 @@ mod tcam_tests {
     fn tight_table_limit_rejects_and_rolls_back() {
         let dc = dc();
         // One rule per switch: any multi-visit path overflows instantly.
-        #[allow(deprecated)] // the deprecated constructor must keep working
-        let mut orch = Orchestrator::with_sdn_table_limit(1);
+        let mut orch = Orchestrator::builder().sdn_table_limit(1).build();
         let vms: Vec<_> = dc.vm_ids().collect();
         let spec = fig5::green(vms[0], *vms.last().unwrap());
         let err = orch.deploy_chain(

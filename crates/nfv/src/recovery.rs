@@ -32,16 +32,16 @@
 use std::collections::{BTreeMap, HashSet};
 
 use alvc_core::construction::AlConstruct;
-use alvc_core::{AbstractionLayer, ClusterId};
+use alvc_core::ClusterId;
 use alvc_graph::NodeId;
-use alvc_optical::route_flow_within;
 use alvc_topology::{DataCenter, Element, ElementHealth, OpsId, ServerId, TorId};
 
 use crate::chain::NfcId;
 use crate::error::DeployError;
-use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId};
-use crate::orchestrator::{kbps, Orchestrator};
-use crate::placement::{PlacementContext, VnfPlacer};
+use crate::footprint::{Hosts, Part, Scope};
+use crate::lifecycle::{HostLocation, VnfInstanceId};
+use crate::orchestrator::Orchestrator;
+use crate::placement::VnfPlacer;
 
 /// How a chain fared through one recovery attempt.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,15 +124,6 @@ impl RecoveryReport {
             .filter(|o| o.label() == label)
             .count()
     }
-}
-
-/// Which node set a recovery rung may route over.
-#[derive(Clone, Copy, PartialEq)]
-enum RecoveryScope {
-    /// The chain's (repaired) slice: its AL switches plus tenant servers.
-    Slice,
-    /// Every healthy node in the data center (graceful degradation).
-    FullFabric,
 }
 
 impl Orchestrator {
@@ -260,31 +251,10 @@ impl Orchestrator {
     }
 
     fn no_failed_references(&self, dc: &DataCenter) -> bool {
-        for element in self.health.failed() {
-            let node = element_node(dc, element);
-            if self.sdn.rules_on_switch(node) > 0 {
-                return false;
-            }
-            for chain in self.chains.values() {
-                if chain.path.nodes().contains(&node) {
-                    return false;
-                }
-                if chain.hosts.iter().any(|&h| host_on(h, element)) {
-                    return false;
-                }
-            }
-            for e in self.link_committed.edges() {
-                if let Some((a, b)) = dc.graph().edge_endpoints(e) {
-                    if a == node || b == node {
-                        return false;
-                    }
-                }
-            }
-            if self.instances.values().any(|i| host_on(i.host(), element)) {
-                return false;
-            }
-        }
-        true
+        self.health
+            .failed()
+            .into_iter()
+            .all(|element| !self.element_in_use(dc, element))
     }
 
     fn fail_element(
@@ -438,22 +408,11 @@ impl Orchestrator {
         id: NfcId,
         placer: &dyn VnfPlacer,
     ) -> RecoveryOutcome {
-        let (old_edges, bandwidth_gbps, ingress, egress, hosts) = {
-            let chain = self.chains.get(&id).expect("affected chain exists");
-            (
-                chain.edges.clone(),
-                chain.nfc.spec().bandwidth_gbps,
-                chain.nfc.spec().ingress,
-                chain.nfc.spec().egress,
-                chain.hosts.clone(),
-            )
-        };
-        self.sdn.remove_chain(id);
-        self.release_edges(&old_edges, bandwidth_gbps);
-        {
-            let chain = self.chains.get_mut(&id).expect("affected chain exists");
-            chain.edges.clear();
-        }
+        self.release(id, Part::Network);
+        let chain = self.chains.get_mut(&id).expect("affected chain exists");
+        chain.edges.clear();
+        let (ingress, egress) = (chain.nfc.spec().ingress, chain.nfc.spec().egress);
+        let hosts = chain.hosts.clone();
 
         if !self.server_usable(dc.server_of_vm(ingress))
             || !self.server_usable(dc.server_of_vm(egress))
@@ -463,17 +422,13 @@ impl Orchestrator {
         }
 
         // Rung 1: same hosts, new route inside the slice.
-        if hosts.iter().all(|&h| self.host_up(h))
-            && self
-                .try_reroute(dc, id, &hosts, RecoveryScope::Slice)
-                .is_ok()
-        {
+        if hosts.iter().all(|&h| self.host_up(h)) && self.try_reroute(dc, id, hosts).is_ok() {
             self.degraded.remove(&id);
             return RecoveryOutcome::Rerouted;
         }
 
         // Rung 2: re-place on healthy hosts inside the slice.
-        let replace_err = match self.try_replace(dc, id, placer, RecoveryScope::Slice) {
+        let replace_err = match self.try_replace(dc, id, placer, Scope::HealthySlice) {
             Ok(()) => {
                 self.degraded.remove(&id);
                 return RecoveryOutcome::Replaced;
@@ -482,10 +437,7 @@ impl Orchestrator {
         };
 
         // Rung 3: graceful degradation over the full healthy fabric.
-        if self
-            .try_replace(dc, id, placer, RecoveryScope::FullFabric)
-            .is_ok()
-        {
+        if self.try_replace(dc, id, placer, Scope::Fabric).is_ok() {
             self.degraded.insert(id);
             return RecoveryOutcome::Degraded;
         }
@@ -502,246 +454,66 @@ impl Orchestrator {
         }
     }
 
-    /// Nodes a recovery route may traverse. Waypoints (endpoint servers
-    /// and VNF hosts) are added by the caller.
-    fn allowed_nodes(
-        &self,
-        dc: &DataCenter,
-        cluster: ClusterId,
-        scope: RecoveryScope,
-    ) -> HashSet<NodeId> {
-        match scope {
-            RecoveryScope::Slice => {
-                let vc = self.manager.cluster(cluster).expect("slice cluster exists");
-                let mut allowed: HashSet<NodeId> = vc
-                    .al()
-                    .switch_nodes(dc)
-                    .into_iter()
-                    .filter(|&n| self.node_usable(dc, n))
-                    .collect();
-                for &v in vc.vms() {
-                    let s = dc.server_of_vm(v);
-                    if self.server_usable(s) {
-                        allowed.insert(dc.node_of_server(s));
-                    }
-                }
-                allowed
-            }
-            RecoveryScope::FullFabric => {
-                let mut allowed = HashSet::new();
-                for s in dc.server_ids().filter(|&s| self.server_usable(s)) {
-                    allowed.insert(dc.node_of_server(s));
-                }
-                for t in dc.tor_ids().filter(|&t| self.tor_usable(t)) {
-                    allowed.insert(dc.node_of_tor(t));
-                }
-                for o in dc.ops_ids().filter(|&o| self.ops_usable(o)) {
-                    allowed.insert(dc.node_of_ops(o));
-                }
-                allowed
-            }
-        }
-    }
-
-    /// Rung 1: route the chain's existing hosts over `scope`, commit rules
-    /// and bandwidth. The chain's own network state must already be
+    /// Rung 1: route the chain's existing hosts inside its slice and
+    /// commit the new route. The chain's network state must already be
     /// released.
     fn try_reroute(
         &mut self,
         dc: &DataCenter,
         id: NfcId,
-        hosts: &[HostLocation],
-        scope: RecoveryScope,
+        hosts: Vec<HostLocation>,
     ) -> Result<(), DeployError> {
-        let chain = self.chains.get(&id).expect("chain exists");
-        let spec = chain.nfc.spec().clone();
-        let cluster = chain.cluster;
-        let mut allowed = self.allowed_nodes(dc, cluster, scope);
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.ingress)));
-        for &h in hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.egress)));
-        let path = route_flow_within(dc, &allowed, &waypoints)?;
-        let edges = Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps)?;
-        self.check_latency(&spec, &path)?;
-        self.sdn
-            .try_install_path(id, &path)
-            .map_err(DeployError::RuleTableFull)?;
-        for &e in &edges {
-            self.link_committed.commit(e, kbps(spec.bandwidth_gbps));
-        }
+        let chain = &self.chains[&id];
+        let admitted = self.admit(
+            dc,
+            id,
+            chain.nfc.spec(),
+            chain.cluster,
+            Hosts::Keep(hosts),
+            Scope::HealthySlice,
+        )?;
         let chain = self.chains.get_mut(&id).expect("chain exists");
-        chain.path = path;
-        chain.edges = edges;
+        chain.path = admitted.path;
+        chain.edges = admitted.edges;
+        self.commit(id, Part::Network);
         Ok(())
     }
 
     /// Rungs 2–3: re-place the chain's VNFs on healthy hosts, route over
-    /// `scope`, and swap instances. The chain's own network state must
-    /// already be released; its host capacity is reused during planning.
+    /// `scope`, and swap in the new footprint. The chain's network state
+    /// must already be released; its host capacity is reused during
+    /// planning.
     fn try_replace(
         &mut self,
         dc: &DataCenter,
         id: NfcId,
         placer: &dyn VnfPlacer,
-        scope: RecoveryScope,
+        scope: Scope,
     ) -> Result<(), DeployError> {
-        let chain = self.chains.get(&id).expect("chain exists");
-        let spec = chain.nfc.spec().clone();
-        let cluster = chain.cluster;
-        let old_hosts = chain.hosts.clone();
-        let old_instances = chain.instances.clone();
-
-        let vc = self.manager.cluster(cluster).expect("slice cluster exists");
-        let vms = vc.vms().to_vec();
-        // Placement sees only the healthy part of the AL.
-        let al_view = AbstractionLayer::new(
-            vc.al()
-                .tors()
-                .iter()
-                .copied()
-                .filter(|&t| self.tor_usable(t))
-                .collect(),
-            vc.al()
-                .ops()
-                .iter()
-                .copied()
-                .filter(|&o| self.ops_usable(o))
-                .collect(),
-        );
-        let mut servers: Vec<ServerId> = vms.iter().map(|&v| dc.server_of_vm(v)).collect();
-        servers.sort();
-        servers.dedup();
-        servers.retain(|&s| self.server_usable(s));
-
-        // Plan against ledgers without this chain's current host usage.
-        let mut opto_used = self.opto_used.clone();
-        let mut server_used = self.server_used.clone();
-        for (h, v) in old_hosts.iter().zip(spec.vnfs.iter()) {
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        let hosts = {
-            let ctx = PlacementContext {
+        let admitted = self.plan_without(id, |orch| {
+            let chain = &orch.chains[&id];
+            orch.admit(
                 dc,
-                al: &al_view,
-                opto_used: &opto_used,
-                server_used: &server_used,
-                servers: &servers,
-            };
-            placer.place(&ctx, &spec)?
-        };
-        // Re-placement must honor the spec's placement rules just like the
-        // original deployment did; a rule-oblivious placer can otherwise
-        // silently undo anti-affinity during recovery.
-        if let Some(rule) = spec.violated_rule(dc, &hosts) {
-            return Err(DeployError::RuleViolated { rule });
-        }
-
-        let mut allowed = self.allowed_nodes(dc, cluster, scope);
-        let mut waypoints = Vec::with_capacity(hosts.len() + 2);
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.ingress)));
-        for h in &hosts {
-            let node = match h {
-                HostLocation::Server(s) => dc.node_of_server(*s),
-                HostLocation::OptoRouter(o) => dc.node_of_ops(*o),
-            };
-            allowed.insert(node);
-            waypoints.push(node);
-        }
-        waypoints.push(dc.node_of_server(dc.server_of_vm(spec.egress)));
-        let path = route_flow_within(dc, &allowed, &waypoints)?;
-        let edges = Self::check_bandwidth(dc, &self.link_committed, &path, spec.bandwidth_gbps)?;
-        self.check_latency(&spec, &path)?;
-        self.sdn
-            .try_install_path(id, &path)
-            .map_err(DeployError::RuleTableFull)?;
-
-        // Commit: bandwidth, host capacity, fresh instances.
-        for &e in &edges {
-            self.link_committed.commit(e, kbps(spec.bandwidth_gbps));
-        }
-        for (h, v) in hosts.iter().zip(spec.vnfs.iter()) {
-            match h {
-                HostLocation::Server(s) => {
-                    let e = server_used.entry(*s).or_default();
-                    *e = e.plus(&v.demand);
-                }
-                HostLocation::OptoRouter(o) => {
-                    let e = opto_used.entry(*o).or_default();
-                    *e = e.plus(&v.demand);
-                }
-            }
-        }
-        self.opto_used = opto_used;
-        self.server_used = server_used;
-        for &iid in &old_instances {
-            self.terminate_and_collect(iid);
-        }
-        let mut instance_ids = Vec::with_capacity(hosts.len());
-        for (h, v) in hosts.iter().zip(spec.vnfs.iter()) {
-            let iid = VnfInstanceId(self.next_instance);
-            self.next_instance += 1;
-            let mut inst = VnfInstance::new(iid, *v, *h);
-            inst.activate().expect("fresh instance activates");
-            self.instances.insert(iid, inst);
-            instance_ids.push(iid);
-        }
+                id,
+                chain.nfc.spec(),
+                chain.cluster,
+                Hosts::Place(placer),
+                scope,
+            )
+        })?;
+        self.release(id, Part::Hosts);
         let chain = self.chains.get_mut(&id).expect("chain exists");
-        chain.hosts = hosts;
-        chain.instances = instance_ids;
-        chain.path = path;
-        chain.edges = edges;
+        chain.hosts = admitted.hosts;
+        chain.path = admitted.path;
+        chain.edges = admitted.edges;
+        self.commit(id, Part::All);
         Ok(())
     }
 
-    /// Removes what is left of an unrecoverable chain: instances,
-    /// replicas, host capacity, slice binding, and the virtual cluster.
-    /// Flow rules and bandwidth were already released by the ladder.
+    /// Removes what is left of an unrecoverable chain: the recovery ladder
+    /// already released its network state.
     fn discard_chain(&mut self, id: NfcId) {
-        for replica in self.replicas_of(id) {
-            let _ = self.scale_in(replica);
-        }
-        let chain = self.chains.remove(&id).expect("chain exists");
-        for (&iid, (h, v)) in chain
-            .instances
-            .iter()
-            .zip(chain.hosts.iter().zip(chain.nfc.vnfs()))
-        {
-            self.terminate_and_collect(iid);
-            match h {
-                HostLocation::Server(s) => {
-                    if let Some(e) = self.server_used.get_mut(s) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-                HostLocation::OptoRouter(o) => {
-                    if let Some(e) = self.opto_used.get_mut(o) {
-                        *e = e.saturating_minus(&v.demand);
-                    }
-                }
-            }
-        }
-        self.slices.unbind(id);
-        self.degraded.remove(&id);
-        self.manager.remove_cluster(chain.cluster);
+        self.remove_chain(id);
         alvc_telemetry::counter!("alvc_nfv.recovery.chains_lost").incr();
         if !self.quiet {
             alvc_telemetry::event!("alvc_nfv.recovery.chain_lost", "nfc" = id.index());
@@ -1124,7 +896,7 @@ mod tests {
             }
             fn place(
                 &self,
-                ctx: &PlacementContext<'_>,
+                ctx: &crate::placement::PlacementContext<'_>,
                 chain: &ChainSpec,
             ) -> Result<Vec<HostLocation>, PlacementError> {
                 let s = *ctx

@@ -112,27 +112,35 @@ impl SdnController {
         chain: NfcId,
         path: &HybridPath,
     ) -> Result<usize, TableFull> {
-        if let Some(limit) = self.table_limit {
-            // Slots freed by replacing this chain's old rules.
-            let mut freed: HashMap<NodeId, usize> = HashMap::new();
-            if let Some(old) = self.rules.get(&chain) {
-                for r in old {
-                    *freed.entry(r.switch).or_insert(0) += 1;
-                }
-            }
-            let mut incoming: HashMap<NodeId, usize> = HashMap::new();
-            for &n in path.nodes() {
-                *incoming.entry(n).or_insert(0) += 1;
-            }
-            for (&n, &add) in &incoming {
-                let current = self.per_switch.get(&n).copied().unwrap_or(0)
-                    - freed.get(&n).copied().unwrap_or(0);
-                if current + add > limit {
-                    return Err(TableFull { switch: n, limit });
-                }
+        self.check_fits(chain, path)?;
+        Ok(self.install_path(chain, path))
+    }
+
+    /// Checks that `path`'s rules for `chain` fit every switch's table,
+    /// counting the slots the chain's current rules would free.
+    pub(crate) fn check_fits(&self, chain: NfcId, path: &HybridPath) -> Result<(), TableFull> {
+        let Some(limit) = self.table_limit else {
+            return Ok(());
+        };
+        // Slots freed by replacing this chain's old rules.
+        let mut freed: HashMap<NodeId, usize> = HashMap::new();
+        if let Some(old) = self.rules.get(&chain) {
+            for r in old {
+                *freed.entry(r.switch).or_insert(0) += 1;
             }
         }
-        Ok(self.install_path(chain, path))
+        let mut incoming: HashMap<NodeId, usize> = HashMap::new();
+        for &n in path.nodes() {
+            *incoming.entry(n).or_insert(0) += 1;
+        }
+        for (&n, &add) in &incoming {
+            let current = self.per_switch.get(&n).copied().unwrap_or(0)
+                - freed.get(&n).copied().unwrap_or(0);
+            if current + add > limit {
+                return Err(TableFull { switch: n, limit });
+            }
+        }
+        Ok(())
     }
 
     /// Installs forwarding rules for `chain` along `path` (one rule per
@@ -182,6 +190,11 @@ impl SdnController {
     /// Number of rules resident on `switch`.
     pub fn rules_on_switch(&self, switch: NodeId) -> usize {
         self.per_switch.get(&switch).copied().unwrap_or(0)
+    }
+
+    /// Rule count per switch, for switches holding any.
+    pub(crate) fn switch_loads(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        self.per_switch.iter().map(|(&n, &c)| (n, c))
     }
 
     /// Total rules across all switches.

@@ -91,11 +91,6 @@ impl LinkLoad {
         self.bytes_per_edge.values().sum()
     }
 
-    /// Bytes carried on `edge`.
-    pub fn bytes_on(&self, edge: EdgeId) -> u64 {
-        self.bytes_per_edge.get(&edge).copied().unwrap_or(0)
-    }
-
     /// Total bytes carried per domain: `(electronic, optical)`.
     pub fn bytes_by_domain(&self, dc: &DataCenter) -> (u64, u64) {
         let mut e = 0;

@@ -32,7 +32,6 @@ struct VmRecord {
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct TorRecord {
-    rack: RackId,
     node: NodeId,
     pod: PodId,
 }
@@ -107,7 +106,7 @@ impl DataCenter {
         let rack = RackId(self.racks.len());
         let tor = TorId(self.tors.len());
         let node = self.graph.add_node(PhysNode::Tor(tor));
-        self.tors.push(TorRecord { rack, node, pod });
+        self.tors.push(TorRecord { node, pod });
         self.racks.push(RackRecord {
             tor,
             servers: Vec::new(),
@@ -439,15 +438,6 @@ impl DataCenter {
     /// Panics if `server` does not exist.
     pub fn rack_of_server(&self, server: ServerId) -> RackId {
         self.servers[server.0].rack
-    }
-
-    /// The rack a ToR switch serves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tor` does not exist.
-    pub fn rack_of_tor(&self, tor: TorId) -> RackId {
-        self.tors[tor.0].rack
     }
 
     /// The rack ToR of `server`.
