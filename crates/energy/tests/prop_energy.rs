@@ -130,6 +130,7 @@ proptest! {
         for &e in &plan.power_downs {
             orch.set_power_state(&dc, e, PowerState::PoweredOff).unwrap();
         }
+        prop_assert_eq!(orch.audit(&dc), vec![]);
         // Every chain survives consolidation untouched: same path, same
         // latency, no path node on a powered-off element.
         for (&id, &b) in ids.iter().zip(&before) {
@@ -194,6 +195,7 @@ proptest! {
             for &e in &plan.power_downs {
                 orch.set_power_state(&dc, e, PowerState::PoweredOff).unwrap();
             }
+            prop_assert_eq!(orch.audit(&dc), vec![]);
             for chain in orch.chains() {
                 let latency = orch.chain_latency_us(chain.nfc().id()).unwrap();
                 if let Some(budget) = chain.nfc().spec().effective_latency_budget_us() {
@@ -231,6 +233,7 @@ proptest! {
                 );
             }
             cp.process_all();
+            assert_eq!(cp.inspect(|orch| orch.audit(&dc)), vec![]);
 
             let mut ledger = PowerLedger::new(PowerModel::default());
             cp.inspect(|orch| ledger.sample(&dc, orch, 0.0));
@@ -249,6 +252,7 @@ proptest! {
                 cp.submit("operator", intent);
             }
             cp.process_all();
+            assert_eq!(cp.inspect(|orch| orch.audit(&dc)), vec![]);
             cp.inspect(|orch| ledger.sample(&dc, orch, 60.0));
 
             let replayed = ControlPlane::builder()

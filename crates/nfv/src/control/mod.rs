@@ -613,6 +613,15 @@ impl ControlPlane {
         inner.intents_processed += batch.len() as u64;
         alvc_telemetry::counter!("alvc_nfv.control.batches").incr();
         alvc_telemetry::gauge!("alvc_nfv.control.queue_depth").set(self.queue.lock().len() as f64);
+        #[cfg(debug_assertions)]
+        {
+            let violations = inner.orch.audit(&self.dc);
+            assert!(
+                violations.is_empty(),
+                "batch {} left derived state inconsistent: {violations:?}",
+                inner.batches
+            );
+        }
         // Publish incrementally: patch the entities this batch touched
         // into the previous snapshot; global operations marked the whole
         // world dirty and fall back to a full capture.

@@ -26,12 +26,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use alvc_core::ClusterId;
+use alvc_core::{ClusterId, VirtualCluster};
 use alvc_topology::{Element, OpsId, VmId};
 
 use crate::chain::NfcId;
 use crate::changes::ChangeSet;
-use crate::lifecycle::{HostLocation, VnfInstanceId, VnfState};
+use crate::lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 use crate::orchestrator::{DeployedChain, Orchestrator};
 
 /// One deployed chain as seen by readers.
@@ -147,6 +147,23 @@ fn chain_view(
     }
 }
 
+/// Builds the reader-facing view of one VNF instance.
+fn instance_view(inst: &VnfInstance) -> InstanceView {
+    InstanceView {
+        state: inst.state(),
+        host: inst.host(),
+    }
+}
+
+/// Builds the reader-facing view of one virtual cluster.
+fn cluster_view(vc: &VirtualCluster) -> Arc<ClusterSliceView> {
+    Arc::new(ClusterSliceView {
+        label: vc.label().to_string(),
+        vms: vc.vms().to_vec(),
+        ops: vc.al().ops().to_vec(),
+    })
+}
+
 /// Rebuilds the per-tenant aggregates from a (possibly patched) chain
 /// map. O(live chains + replicas) — independent of topology size.
 fn tenant_aggregates(
@@ -189,29 +206,12 @@ impl StateView {
         let instances = orch
             .instances
             .iter()
-            .map(|(&id, inst)| {
-                (
-                    id,
-                    InstanceView {
-                        state: inst.state(),
-                        host: inst.host(),
-                    },
-                )
-            })
+            .map(|(&id, inst)| (id, instance_view(inst)))
             .collect();
         let clusters = orch
             .manager
             .clusters()
-            .map(|vc| {
-                (
-                    vc.id(),
-                    Arc::new(ClusterSliceView {
-                        label: vc.label().to_string(),
-                        vms: vc.vms().to_vec(),
-                        ops: vc.al().ops().to_vec(),
-                    }),
-                )
-            })
+            .map(|vc| (vc.id(), cluster_view(vc)))
             .collect();
         let link_committed_kbps: BTreeMap<_, _> = orch.link_committed.iter().collect();
         let total_committed_kbps = link_committed_kbps.values().sum();
@@ -264,13 +264,7 @@ impl StateView {
         for &iid in &changes.instances {
             match orch.instances.get(&iid) {
                 Some(inst) => {
-                    view.instances.insert(
-                        iid,
-                        InstanceView {
-                            state: inst.state(),
-                            host: inst.host(),
-                        },
-                    );
+                    view.instances.insert(iid, instance_view(inst));
                 }
                 None => {
                     view.instances.remove(&iid);
@@ -280,14 +274,7 @@ impl StateView {
         for &cid in &changes.clusters {
             match orch.manager.cluster(cid) {
                 Some(vc) => {
-                    view.clusters.insert(
-                        cid,
-                        Arc::new(ClusterSliceView {
-                            label: vc.label().to_string(),
-                            vms: vc.vms().to_vec(),
-                            ops: vc.al().ops().to_vec(),
-                        }),
-                    );
+                    view.clusters.insert(cid, cluster_view(vc));
                 }
                 None => {
                     view.clusters.remove(&cid);

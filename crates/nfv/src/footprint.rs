@@ -90,67 +90,30 @@ impl Part {
 
 /// One disagreement between the orchestrator's derived state and a
 /// recomputation from its chain and replica records (see
-/// [`Orchestrator::audit`]).
+/// [`Orchestrator::audit`]). Tuples read `(key, live, expected)`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditViolation {
-    /// A link's committed kb/s differs from the sum over live chain paths
-    /// (a stray entry has `expected == 0`).
-    Bandwidth {
-        /// The link.
-        edge: EdgeId,
-        /// What the ledger holds.
-        committed: u64,
-        /// The sum over chains whose edges include the link.
-        expected: u64,
-    },
-    /// A host's usage differs from the demands placed on it by more than
-    /// 1e-9 in some component.
-    HostUsage {
-        /// The host.
-        host: HostLocation,
-        /// What the host ledger holds.
-        recorded: ResourceDemand,
-        /// The sum over chain members and replicas on the host.
-        expected: ResourceDemand,
-    },
-    /// A switch holds a different number of flow rules than chain paths
-    /// cross it.
-    Rules {
-        /// The switch's graph node.
-        switch: NodeId,
-        /// Rules installed.
-        installed: usize,
-        /// Path visits over all chains.
-        expected: usize,
-    },
-    /// A chain's installed rules do not follow its path.
-    ChainRules {
-        /// The chain.
-        chain: NfcId,
-    },
-    /// The instance map disagrees with chain members plus replicas: an
-    /// instance is missing, on another host, not serving, or unowned.
-    Instance {
-        /// The instance.
-        instance: VnfInstanceId,
-    },
-    /// A chain's slice binding is not the 1:1 link to a live cluster.
-    Slice {
-        /// The chain.
-        chain: NfcId,
-    },
-    /// More slice bindings or rule sets exist than chains.
+    /// A link's committed kb/s is not the sum over the chains routed on it.
+    Bandwidth(EdgeId, u64, u64),
+    /// A host's usage is off the demands placed on it by more than 1e-9
+    /// in some component.
+    HostUsage(HostLocation, ResourceDemand, ResourceDemand),
+    /// A switch's rule count is not the number of chain path visits.
+    Rules(NodeId, usize, usize),
+    /// An instance is not exactly a serving chain member or replica on its
+    /// recorded host (`None`: absent, not serving, or owned by nothing).
+    Instance(VnfInstanceId, Option<HostLocation>, Option<HostLocation>),
+    /// A chain's rules do not follow its path, or it lacks its 1:1 slice
+    /// binding to a live cluster.
+    Chain(NfcId),
+    /// A replica's instance is gone or its chain position does not exist.
+    Replica(VnfInstanceId),
+    /// Slice bindings or rule sets exist for chains that do not.
     Orphans,
     /// A degraded chain does not exist.
-    Degraded {
-        /// The chain.
-        chain: NfcId,
-    },
+    Degraded(NfcId),
     /// Live state references a failed element.
-    FailedReference {
-        /// The failed element.
-        element: Element,
-    },
+    FailedReference(Element),
 }
 
 /// Per-component tolerance of the host-usage audit: the ledgers add and
@@ -273,10 +236,7 @@ impl Orchestrator {
             let mut admit_span = alvc_telemetry::trace::child_span("nfv.admit_bandwidth");
             self.check_bandwidth(dc, &path, spec.bandwidth_gbps)
                 .and_then(|edges| self.check_latency(spec, &path).map(|()| edges))
-                .map_err(|e| {
-                    admit_span.fail(e.code());
-                    e
-                })?
+                .inspect_err(|e| admit_span.fail(e.code()))?
         };
 
         let mut install_span = alvc_telemetry::trace::child_span("nfv.install_rules");
@@ -484,28 +444,24 @@ impl Orchestrator {
 
     /// Recomputes every derived map from the chain and replica records and
     /// returns each disagreement with the live state (empty when
-    /// consistent):
-    ///
-    /// * the kb/s ledger, exactly, with no stray entries;
-    /// * per-host usage, within 1e-9 per component;
-    /// * flow rules per switch, and each chain's rules along its path;
-    /// * the instance map: chain members and replicas, serving, on their
-    ///   recorded hosts, and nothing else;
-    /// * the 1:1 chain ↔ slice ↔ cluster binding;
-    /// * degraded chains exist;
-    /// * nothing references a failed element.
+    /// consistent): the kb/s ledger exactly, host usage within 1e-9 per
+    /// component, flow rules per switch and per chain, the instance map
+    /// (members and replicas, serving, on their recorded hosts, nothing
+    /// else), the 1:1 chain ↔ slice ↔ cluster binding, degraded chains,
+    /// and references to failed elements.
     ///
     /// A violation snapshots the flight recorder (post-mortem reason
-    /// `audit`). The chaos, property and control-plane tests call this
-    /// after every step; debug builds of the control plane after every
+    /// `audit`). Debug builds of the control plane run this after every
     /// batch.
     pub fn audit(&self, dc: &DataCenter) -> Vec<AuditViolation> {
-        let mut violations = Vec::new();
-        let mut bandwidth: BTreeMap<EdgeId, u64> = BTreeMap::new();
-        let mut usage: BTreeMap<HostKey, ResourceDemand> = BTreeMap::new();
-        let mut rules: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut add_usage = |host: HostLocation, demand: &ResourceDemand| {
-            let used = usage.entry(HostKey::of(host)).or_default();
+        use AuditViolation as V;
+        let mut out = Vec::new();
+        let mut bandwidth = BTreeMap::new();
+        let mut usage = BTreeMap::new();
+        let mut rules = BTreeMap::new();
+        let mut instances = BTreeMap::new();
+        let mut charge = |host: HostLocation, demand: &ResourceDemand| {
+            let used: &mut ResourceDemand = usage.entry(HostKey::of(host)).or_default();
             *used = used.plus(demand);
         };
         for (&id, chain) in &self.chains {
@@ -516,26 +472,16 @@ impl Orchestrator {
             for &n in chain.path.nodes() {
                 *rules.entry(n).or_insert(0) += 1;
             }
-            let installed: Vec<NodeId> = self
-                .sdn
-                .rules_for_chain(id)
-                .iter()
-                .map(|r| r.switch)
-                .collect();
-            if installed != chain.path.nodes() {
-                violations.push(AuditViolation::ChainRules { chain: id });
-            }
             for (&iid, (host, vnf)) in chain.instances.iter().zip(members(chain)) {
-                add_usage(host, &vnf.demand);
-                if !self.instance_matches(iid, host) {
-                    violations.push(AuditViolation::Instance { instance: iid });
-                }
+                instances.insert(iid, Some(host));
+                charge(host, &vnf.demand);
             }
+            let installed = self.sdn.rules_for_chain(id).iter().map(|r| r.switch);
             let bound = self.slices.cluster_of(id) == Some(chain.cluster)
                 && self.slices.chain_of(chain.cluster) == Some(id)
                 && self.manager.cluster(chain.cluster).is_some();
-            if !bound {
-                violations.push(AuditViolation::Slice { chain: id });
+            if !bound || !installed.eq(chain.path.nodes().iter().copied()) {
+                out.push(V::Chain(id));
             }
         }
         for (&iid, &(chain, position)) in &self.replicas {
@@ -544,127 +490,89 @@ impl Orchestrator {
                 .get(&chain)
                 .is_some_and(|c| position < c.hosts.len());
             match self.instances.get(&iid) {
-                Some(inst) if owned && inst.is_serving() => {
-                    add_usage(inst.host(), &inst.spec().demand)
+                Some(inst) if owned => {
+                    instances.insert(iid, Some(inst.host()));
+                    charge(inst.host(), &inst.spec().demand);
                 }
-                _ => violations.push(AuditViolation::Instance { instance: iid }),
+                _ => out.push(V::Replica(iid)),
             }
-        }
-        let members: usize = self.chains.values().map(|c| c.instances.len()).sum();
-        if self.instances.len() != members + self.replicas.len() {
-            let owned: HashSet<VnfInstanceId> = self
-                .chains
-                .values()
-                .flat_map(|c| c.instances.iter().copied())
-                .chain(self.replicas.keys().copied())
-                .collect();
-            violations.extend(
-                self.instances
-                    .keys()
-                    .filter(|iid| !owned.contains(iid))
-                    .map(|&instance| AuditViolation::Instance { instance }),
-            );
         }
         if self.slices.len() != self.chains.len() || self.sdn.chain_count() != self.chains.len() {
-            violations.push(AuditViolation::Orphans);
+            out.push(V::Orphans);
         }
-
-        let committed: BTreeMap<EdgeId, u64> = self.link_committed.iter().collect();
-        for (&edge, &committed) in &committed {
-            let expected = bandwidth.remove(&edge).unwrap_or(0);
-            if committed != expected {
-                violations.push(AuditViolation::Bandwidth {
-                    edge,
-                    committed,
-                    expected,
-                });
-            }
-        }
-        violations.extend(
-            bandwidth
-                .into_iter()
-                .map(|(edge, expected)| AuditViolation::Bandwidth {
-                    edge,
-                    committed: 0,
-                    expected,
-                }),
+        diff(
+            self.link_committed.iter(),
+            bandwidth,
+            |e, live, want| (live != want).then_some(V::Bandwidth(e, live, want)),
+            &mut out,
         );
-
         let recorded = self
             .server_used
             .iter()
-            .map(|(&s, d)| (HostKey::of(HostLocation::Server(s)), *d))
-            .chain(
-                self.opto_used
-                    .iter()
-                    .map(|(&o, d)| (HostKey::of(HostLocation::OptoRouter(o)), *d)),
-            );
-        let mut recorded: BTreeMap<HostKey, ResourceDemand> = recorded.collect();
-        for (key, expected) in usage {
-            let got = recorded.remove(&key).unwrap_or_default();
-            if !usage_close(&got, &expected) {
-                violations.push(AuditViolation::HostUsage {
-                    host: key.host(),
-                    recorded: got,
-                    expected,
-                });
-            }
-        }
-        for (key, got) in recorded {
-            if !usage_close(&got, &ResourceDemand::default()) {
-                violations.push(AuditViolation::HostUsage {
-                    host: key.host(),
-                    recorded: got,
-                    expected: ResourceDemand::default(),
-                });
-            }
-        }
-
-        for (switch, installed) in self.sdn.switch_loads() {
-            let expected = rules.remove(&switch).unwrap_or(0);
-            if installed != expected {
-                violations.push(AuditViolation::Rules {
-                    switch,
-                    installed,
-                    expected,
-                });
-            }
-        }
-        violations.extend(
-            rules
-                .into_iter()
-                .map(|(switch, expected)| AuditViolation::Rules {
-                    switch,
-                    installed: 0,
-                    expected,
-                }),
+            .map(|(&s, &d)| (HostKey::Server(s), d))
+            .chain(self.opto_used.iter().map(|(&o, &d)| (HostKey::Opto(o), d)));
+        diff(
+            recorded,
+            usage,
+            |h, live, want| {
+                (!usage_close(&live, &want)).then(|| V::HostUsage(h.host(), live, want))
+            },
+            &mut out,
         );
-
-        violations.extend(
+        diff(
+            self.sdn.switch_loads(),
+            rules,
+            |n, live, want| (live != want).then_some(V::Rules(n, live, want)),
+            &mut out,
+        );
+        let live = self
+            .instances
+            .iter()
+            .map(|(&iid, i)| (iid, i.is_serving().then(|| i.host())));
+        diff(
+            live,
+            instances,
+            |iid, live, want| (live != want).then_some(V::Instance(iid, live, want)),
+            &mut out,
+        );
+        out.extend(
             self.degraded
                 .iter()
                 .filter(|id| !self.chains.contains_key(id))
-                .map(|&chain| AuditViolation::Degraded { chain }),
+                .map(|&id| V::Degraded(id)),
         );
-        violations.extend(
+        out.extend(
             self.health
                 .failed()
                 .into_iter()
                 .filter(|&e| self.element_in_use(dc, e))
-                .map(|element| AuditViolation::FailedReference { element }),
+                .map(V::FailedReference),
         );
-        if !violations.is_empty() {
+        if !out.is_empty() {
             alvc_telemetry::recorder::postmortem("audit");
         }
-        violations
+        out
     }
+}
 
-    /// Whether `iid` is a serving instance on `host`.
-    fn instance_matches(&self, iid: VnfInstanceId, host: HostLocation) -> bool {
-        self.instances
-            .get(&iid)
-            .is_some_and(|i| i.host() == host && i.is_serving())
+/// Compares live `(key, value)` pairs with the expected map, a key missing
+/// on one side counting as the default value there, and collects what
+/// `check` reports.
+fn diff<K: Ord + Copy, T: Default + Copy>(
+    live: impl IntoIterator<Item = (K, T)>,
+    mut expected: BTreeMap<K, T>,
+    check: impl Fn(K, T, T) -> Option<AuditViolation>,
+    out: &mut Vec<AuditViolation>,
+) {
+    for (key, value) in live {
+        let want = expected.remove(&key).unwrap_or_default();
+        out.extend(check(key, value, want));
     }
+    out.extend(
+        expected
+            .into_iter()
+            .filter_map(|(key, want)| check(key, T::default(), want)),
+    );
 }
 
 /// A chain's VNFs with their hosts, in chain order.

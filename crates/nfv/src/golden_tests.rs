@@ -13,8 +13,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use alvc_affinity::VmMove;
 use alvc_core::clustering::{tenant_clusters, ClusterSpec};
-use alvc_core::LabelId;
 use alvc_core::construction::PaperGreedy;
+use alvc_core::LabelId;
 use alvc_topology::{
     AlvcTopologyBuilder, DataCenter, Element, OpsId, OpsInterconnect, PowerState, ServerId, TorId,
 };
@@ -61,7 +61,12 @@ impl VnfPlacer for OpticalFirst {
                     let cap = ctx.dc.opto_capacity(o).expect("opto candidate");
                     vnf.demand.fits_in(&cap, &opto_used[&o])
                 })
-                .min_by(|&a, &b| opto_used[&b].cpu.total_cmp(&opto_used[&a].cpu).then(a.cmp(&b)));
+                .min_by(|&a, &b| {
+                    opto_used[&b]
+                        .cpu
+                        .total_cmp(&opto_used[&a].cpu)
+                        .then(a.cmp(&b))
+                });
             if let Some(o) = best {
                 let e = opto_used.get_mut(&o).expect("tracked");
                 *e = e.plus(&vnf.demand);
@@ -285,10 +290,14 @@ fn chaos_digest(steps: usize) -> u64 {
                         0 => {
                             // Half the time, a server hosting a live VNF.
                             let hosted = live.first().and_then(|&(id, _)| {
-                                orch.chain(id).unwrap().hosts().iter().find_map(|h| match h {
-                                    HostLocation::Server(s) => Some(*s),
-                                    HostLocation::OptoRouter(_) => None,
-                                })
+                                orch.chain(id)
+                                    .unwrap()
+                                    .hosts()
+                                    .iter()
+                                    .find_map(|h| match h {
+                                        HostLocation::Server(s) => Some(*s),
+                                        HostLocation::OptoRouter(_) => None,
+                                    })
                             });
                             let s = match hosted {
                                 Some(s) if rng.random::<f64>() < 0.5 => s,
@@ -369,14 +378,13 @@ fn multipod_digest(steps: usize) -> u64 {
             0 | 1 => {
                 let mut requests = Vec::new();
                 let mut picked = Vec::new();
-                for t in 0..tenants.len() {
+                for (t, g) in tenants.iter().enumerate() {
                     if requests.len() == 4 {
                         break;
                     }
                     if live.iter().any(|&(_, lt)| lt == t) || rng.random::<f64>() < 0.4 {
                         continue;
                     }
-                    let g = &tenants[t];
                     let (a, b) = (g.vms[0], *g.vms.last().unwrap());
                     let spec = if (step + t) % 2 == 0 {
                         fig5::black(a, b)
@@ -386,8 +394,7 @@ fn multipod_digest(steps: usize) -> u64 {
                     requests.push((g.label, g.vms.clone(), spec));
                     picked.push(t);
                 }
-                let results =
-                    orch.deploy_chains(&dc, requests, &PaperGreedy::new(), &OpticalFirst);
+                let results = orch.deploy_chains(&dc, requests, &PaperGreedy::new(), &OpticalFirst);
                 for (t, r) in picked.into_iter().zip(results) {
                     if let Ok(id) = r {
                         live.push((id, t));
@@ -405,7 +412,10 @@ fn multipod_digest(steps: usize) -> u64 {
                 for _ in 0..3 {
                     let a = live[rng.random_range(0..live.len())].0;
                     let b = live[rng.random_range(0..live.len())].0;
-                    let (ca, cb) = (orch.chain(a).unwrap().cluster, orch.chain(b).unwrap().cluster);
+                    let (ca, cb) = (
+                        orch.chain(a).unwrap().cluster,
+                        orch.chain(b).unwrap().cluster,
+                    );
                     let spec = orch.chain(a).unwrap().nfc.spec().clone();
                     let vms = orch.manager.cluster(ca).unwrap().vms().to_vec();
                     let candidates: Vec<_> = vms

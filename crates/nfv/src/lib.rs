@@ -64,8 +64,8 @@ pub use control::{
     ControlPlaneBuilder, InstanceView, Intent, IntentEffect, IntentId, IntentKind, IntentLog,
     IntentOutcome, IntentRecord, SchedulerMode, StateView, TenantQuota, TenantView,
 };
-pub use footprint::AuditViolation;
 pub use error::{DeployError, Error, ErrorKind, LifecycleError, PlacementError, PowerError};
+pub use footprint::AuditViolation;
 pub use ledger::ShardedLedger;
 pub use lifecycle::{HostLocation, VnfInstance, VnfInstanceId, VnfState};
 pub use orchestrator::{DeployedChain, Orchestrator, OrchestratorBuilder};

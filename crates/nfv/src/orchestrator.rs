@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use alvc_core::construction::{construct_layers, AlConstruct};
-use alvc_core::{ClusterId, ClusterManager, LabelId};
+use alvc_core::{AbstractionLayer, ClusterId, ClusterManager, LabelId};
 use alvc_graph::NodeId;
 use alvc_optical::{HybridPath, OeoCostModel};
 use alvc_topology::{
@@ -350,61 +350,7 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, Error> {
-        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
-        let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
-        let tenant: LabelId = tenant.into();
-        if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
-            alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-            trace_span.fail(DeployError::EndpointOutsideCluster.code());
-            return Err(DeployError::EndpointOutsideCluster.into());
-        }
-        // Structural validation before any state is touched: specs that
-        // bypassed ChainSpecBuilder (deprecated constructor, manual
-        // mutation) are rejected with the same typed error the control
-        // plane's admission uses.
-        if let Err(reason) = spec.validate() {
-            let e = DeployError::InvalidSpec(reason);
-            alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-            trace_span.fail(e.code());
-            return Err(e.into());
-        }
-
-        // 1. One NFC ↔ one VC: build the cluster / slice.
-        let cluster = {
-            let mut construct_span = alvc_telemetry::trace::child_span("core.construct");
-            match self
-                .manager
-                .create_cluster(dc, tenant, vms.clone(), constructor)
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                    construct_span.fail("cluster");
-                    trace_span.fail("cluster");
-                    return Err(e.into());
-                }
-            }
-        };
-        let result = self.deploy_into_cluster(dc, cluster, spec, placer);
-        match result {
-            Ok(id) => {
-                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
-                if !self.quiet {
-                    alvc_telemetry::event!(
-                        "alvc_nfv.orchestrator.chain_deployed",
-                        "nfc" = id.index(),
-                        "tenant" = tenant.as_str(),
-                    );
-                }
-                Ok(id)
-            }
-            Err(e) => {
-                self.manager.remove_cluster(cluster);
-                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                trace_span.fail(e.code());
-                Err(e.into())
-            }
-        }
+        self.deploy_request(dc, tenant.into(), vms, spec, None, constructor, placer)
     }
 
     /// Deploys a batch of chains at once: abstraction layers for all
@@ -446,51 +392,72 @@ impl Orchestrator {
             .into_iter()
             .zip(layers)
             .map(|((tenant, vms, spec), layer)| {
-                let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
-                let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
-                let tenant: LabelId = tenant.into();
-                let result = (|| -> Result<NfcId, Error> {
-                    if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
-                        return Err(DeployError::EndpointOutsideCluster.into());
-                    }
-                    spec.validate().map_err(DeployError::InvalidSpec)?;
-                    let adopted = layer
-                        .ok()
-                        .and_then(|al| self.manager.try_adopt_cluster(dc, tenant, vms.clone(), al));
-                    let cluster = match adopted {
-                        Some(id) => id,
-                        None => {
-                            self.manager
-                                .create_cluster(dc, tenant, vms.clone(), constructor)?
-                        }
-                    };
-                    match self.deploy_into_cluster(dc, cluster, spec, placer) {
-                        Ok(id) => Ok(id),
-                        Err(e) => {
-                            self.manager.remove_cluster(cluster);
-                            Err(e.into())
-                        }
-                    }
-                })();
-                match &result {
-                    Ok(id) => {
-                        alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
-                        if !self.quiet {
-                            alvc_telemetry::event!(
-                                "alvc_nfv.orchestrator.chain_deployed",
-                                "nfc" = id.index(),
-                                "tenant" = tenant.as_str(),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
-                        trace_span.fail(e.code());
-                    }
-                }
-                result
+                let layer = layer.ok();
+                self.deploy_request(dc, tenant.into(), vms, spec, layer, constructor, placer)
             })
             .collect()
+    }
+
+    /// Validates one request, builds its slice — adopting the pre-built
+    /// `layer` when it is still valid and conflict-free, constructing one
+    /// otherwise — and deploys the chain into it. Rolls back on error.
+    #[allow(clippy::too_many_arguments)]
+    fn deploy_request(
+        &mut self,
+        dc: &DataCenter,
+        tenant: LabelId,
+        vms: Vec<VmId>,
+        spec: ChainSpec,
+        layer: Option<AbstractionLayer>,
+        constructor: &dyn AlConstruct,
+        placer: &dyn VnfPlacer,
+    ) -> Result<NfcId, Error> {
+        let _span = alvc_telemetry::span!("alvc_nfv.orchestrator.deploy_latency_us");
+        let mut trace_span = alvc_telemetry::trace::child_span("nfv.deploy");
+        let result = (|| -> Result<NfcId, Error> {
+            if !vms.contains(&spec.ingress) || !vms.contains(&spec.egress) {
+                return Err(DeployError::EndpointOutsideCluster.into());
+            }
+            // Structural validation before any state is touched: specs that
+            // bypassed ChainSpecBuilder (deprecated constructor, manual
+            // mutation) are rejected with the same typed error the control
+            // plane's admission uses.
+            spec.validate().map_err(DeployError::InvalidSpec)?;
+            // One NFC ↔ one VC: build the cluster / slice.
+            let adopted =
+                layer.and_then(|al| self.manager.try_adopt_cluster(dc, tenant, vms.clone(), al));
+            let cluster = match adopted {
+                Some(id) => id,
+                None => {
+                    let mut construct_span = alvc_telemetry::trace::child_span("core.construct");
+                    self.manager
+                        .create_cluster(dc, tenant, vms, constructor)
+                        .inspect_err(|_| construct_span.fail("cluster"))?
+                }
+            };
+            self.deploy_into_cluster(dc, cluster, spec, placer)
+                .map_err(|e| {
+                    self.manager.remove_cluster(cluster);
+                    e.into()
+                })
+        })();
+        match &result {
+            Ok(id) => {
+                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_ok").incr();
+                if !self.quiet {
+                    alvc_telemetry::event!(
+                        "alvc_nfv.orchestrator.chain_deployed",
+                        "nfc" = id.index(),
+                        "tenant" = tenant.as_str(),
+                    );
+                }
+            }
+            Err(e) => {
+                alvc_telemetry::counter!("alvc_nfv.orchestrator.deploys_failed").incr();
+                trace_span.fail(e.code());
+            }
+        }
+        result
     }
 
     fn deploy_into_cluster(
@@ -593,7 +560,14 @@ impl Orchestrator {
         // modification can reuse its own capacity; the old deployment
         // stays untouched until the plan is admitted.
         let admitted = self.plan_without(id, |orch| {
-            orch.admit(dc, id, &new_spec, cluster, Hosts::Place(placer), Scope::Slice)
+            orch.admit(
+                dc,
+                id,
+                &new_spec,
+                cluster,
+                Hosts::Place(placer),
+                Scope::Slice,
+            )
         })?;
         self.release(id, Part::All);
         let chain = self.chains.get_mut(&id).expect("checked above");

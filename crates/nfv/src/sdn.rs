@@ -134,8 +134,8 @@ impl SdnController {
             *incoming.entry(n).or_insert(0) += 1;
         }
         for (&n, &add) in &incoming {
-            let current = self.per_switch.get(&n).copied().unwrap_or(0)
-                - freed.get(&n).copied().unwrap_or(0);
+            let current =
+                self.per_switch.get(&n).copied().unwrap_or(0) - freed.get(&n).copied().unwrap_or(0);
             if current + add > limit {
                 return Err(TableFull { switch: n, limit });
             }

@@ -43,6 +43,13 @@ fn spec_for(kind: u8, ingress: VmId, egress: VmId) -> ChainSpec {
     }
 }
 
+/// Every derived map of the live orchestrator equals a recomputation from
+/// its chain set.
+fn assert_audit_clean(cp: &ControlPlane, dc: &DataCenter) {
+    let violations = cp.inspect(|orch| orch.audit(dc));
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
 fn control_plane(dc: &Arc<DataCenter>, batch_size: usize) -> ControlPlane {
     ControlPlane::builder()
         .batch_size(batch_size)
@@ -112,6 +119,7 @@ proptest! {
             };
             let id = live.submit(&tenant, intent);
             live.process_batch();
+            assert_audit_clean(&live, &dc);
             if let Some(IntentOutcome::Completed(IntentEffect::ScaledOut { replica, .. })) =
                 live.outcome(id)
             {
@@ -241,6 +249,7 @@ proptest! {
             // Partial drains leave residual per-tenant queues (and DRR
             // deficit state) across submission waves.
             live.process_batch();
+            assert_audit_clean(&live, &dc);
         }
         live.process_all();
 
@@ -309,6 +318,7 @@ proptest! {
             };
             let id = cp.submit(&tenant, intent);
             cp.process_batch();
+            assert_audit_clean(&cp, &dc);
             if let Some(IntentOutcome::Completed(IntentEffect::ScaledOut { replica, .. })) =
                 cp.outcome(id)
             {

@@ -57,6 +57,9 @@ fn check_invariants(dc: &DataCenter, orch: &Orchestrator) {
         orch.instance_count(),
         expected_instances + orch.replica_count()
     );
+    // Every derived map equals a recomputation from the chain set.
+    let violations = orch.audit(dc);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 proptest! {

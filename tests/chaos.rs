@@ -157,6 +157,9 @@ fn orchestrator_survives_chaotic_operation_mix() {
             orch.verify_no_failed_references(&dc),
             "step {step}: state references a failed element"
         );
+        // Every derived map equals a recomputation from the chain set.
+        let violations = orch.audit(&dc);
+        assert!(violations.is_empty(), "step {step}: {violations:?}");
         // Terminated instances are garbage-collected: the instance map
         // holds exactly the chain members plus live replicas.
         let chain_instances: usize = orch.chains().map(|c| c.instances().len()).sum();
