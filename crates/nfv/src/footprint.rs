@@ -29,7 +29,7 @@ use alvc_core::{AbstractionLayer, ClusterId};
 use alvc_graph::{EdgeId, NodeId};
 use alvc_optical::routing::try_path_edges;
 use alvc_optical::{route_flow_within, HybridPath, RoutingError};
-use alvc_topology::{DataCenter, Element, OpsId, ServerId};
+use alvc_topology::{DataCenter, Element, ServerId};
 
 use crate::chain::{ChainSpec, NfcId};
 use crate::error::DeployError;
@@ -38,17 +38,15 @@ use crate::orchestrator::{kbps, DeployedChain, Orchestrator};
 use crate::placement::{PlacementContext, VnfPlacer};
 use crate::vnf::{ResourceDemand, VnfSpec};
 
-/// Where admission may place and route a chain.
+/// Where admission may route a chain. Either way VNFs are placed on the
+/// usable part of the slice's abstraction layer only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Scope {
-    /// Deploy and modify: place over the slice's abstraction layer as
-    /// built, route inside the slice.
+    /// Inside the slice: its layer's usable switches and the tenant's
+    /// usable servers.
     Slice,
-    /// Recovery inside the slice: only the layer's usable switches host
-    /// VNFs; route inside the slice.
-    HealthySlice,
-    /// Recovery's degraded rung: place as [`Scope::HealthySlice`], route
-    /// over every usable node of the data center.
+    /// Over every usable node of the data center (recovery's degraded
+    /// rung).
     Fabric,
 }
 
@@ -65,6 +63,15 @@ pub(crate) struct Admitted {
     pub(crate) hosts: Vec<HostLocation>,
     pub(crate) path: HybridPath,
     pub(crate) edges: Vec<EdgeId>,
+}
+
+impl DeployedChain {
+    /// Takes over an admitted placement and route (not yet committed).
+    pub(crate) fn adopt(&mut self, admitted: Admitted) {
+        self.hosts = admitted.hosts;
+        self.path = admitted.path;
+        self.edges = admitted.edges;
+    }
 }
 
 /// Which part of a chain's footprint a commit or release covers.
@@ -144,30 +151,26 @@ impl Orchestrator {
         let hosts = match hosts {
             Hosts::Keep(hosts) => hosts,
             Hosts::Place(placer) => {
-                let healthy;
-                let al = if scope == Scope::Slice {
+                // A layer whose rebuild failed still lists its failed
+                // switch; placement must not see it.
+                let al = AbstractionLayer::new(
                     vc.al()
-                } else {
-                    healthy = AbstractionLayer::new(
-                        vc.al()
-                            .tors()
-                            .iter()
-                            .copied()
-                            .filter(|&t| self.tor_usable(t))
-                            .collect(),
-                        vc.al()
-                            .ops()
-                            .iter()
-                            .copied()
-                            .filter(|&o| self.ops_usable(o))
-                            .collect(),
-                    );
-                    &healthy
-                };
+                        .tors()
+                        .iter()
+                        .copied()
+                        .filter(|&t| self.tor_usable(t))
+                        .collect(),
+                    vc.al()
+                        .ops()
+                        .iter()
+                        .copied()
+                        .filter(|&o| self.ops_usable(o))
+                        .collect(),
+                );
                 let mut place_span = alvc_telemetry::trace::child_span("nfv.place");
                 let ctx = PlacementContext {
                     dc,
-                    al,
+                    al: &al,
                     opto_used: &self.opto_used,
                     server_used: &self.server_used,
                     servers: &servers,
@@ -190,7 +193,7 @@ impl Orchestrator {
         };
 
         let mut allowed: HashSet<NodeId> = match scope {
-            Scope::Slice | Scope::HealthySlice => vc
+            Scope::Slice => vc
                 .al()
                 .switch_nodes(dc)
                 .into_iter()
@@ -461,7 +464,7 @@ impl Orchestrator {
         let mut rules = BTreeMap::new();
         let mut instances = BTreeMap::new();
         let mut charge = |host: HostLocation, demand: &ResourceDemand| {
-            let used: &mut ResourceDemand = usage.entry(HostKey::of(host)).or_default();
+            let used: &mut ResourceDemand = usage.entry(host).or_default();
             *used = used.plus(demand);
         };
         for (&id, chain) in &self.chains {
@@ -509,14 +512,16 @@ impl Orchestrator {
         let recorded = self
             .server_used
             .iter()
-            .map(|(&s, &d)| (HostKey::Server(s), d))
-            .chain(self.opto_used.iter().map(|(&o, &d)| (HostKey::Opto(o), d)));
+            .map(|(&s, &d)| (HostLocation::Server(s), d))
+            .chain(
+                self.opto_used
+                    .iter()
+                    .map(|(&o, &d)| (HostLocation::OptoRouter(o), d)),
+            );
         diff(
             recorded,
             usage,
-            |h, live, want| {
-                (!usage_close(&live, &want)).then(|| V::HostUsage(h.host(), live, want))
-            },
+            |h, live, want| (!usage_close(&live, &want)).then_some(V::HostUsage(h, live, want)),
             &mut out,
         );
         diff(
@@ -590,27 +595,4 @@ fn usage_close(a: &ResourceDemand, b: &ResourceDemand) -> bool {
     (a.cpu - b.cpu).abs() <= USAGE_TOLERANCE
         && (a.memory_gib - b.memory_gib).abs() <= USAGE_TOLERANCE
         && (a.storage_gib - b.storage_gib).abs() <= USAGE_TOLERANCE
-}
-
-/// An ordered key over both host kinds, for the audit's sorted sums.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum HostKey {
-    Server(ServerId),
-    Opto(OpsId),
-}
-
-impl HostKey {
-    fn of(host: HostLocation) -> Self {
-        match host {
-            HostLocation::Server(s) => HostKey::Server(s),
-            HostLocation::OptoRouter(o) => HostKey::Opto(o),
-        }
-    }
-
-    fn host(self) -> HostLocation {
-        match self {
-            HostKey::Server(s) => HostLocation::Server(s),
-            HostKey::Opto(o) => HostLocation::OptoRouter(o),
-        }
-    }
 }

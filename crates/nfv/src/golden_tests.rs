@@ -5,9 +5,9 @@
 //! events, server/ToR/OPS failure and restore, re-optimization,
 //! re-clustering and power-state changes — and fold an FNV-1a 64 digest
 //! over a canonical dump of the whole derived state after every step.
-//! The pinned digests were produced before the mutation paths were folded
-//! into one commit/release primitive; they must never change unless
-//! placement, routing, recovery outcomes or a ledger changes on purpose.
+//! The pinned digests fix the exact state every step leaves behind: they
+//! change only when placement, routing, recovery outcomes or a ledger
+//! change on purpose.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -491,9 +491,9 @@ fn multipod_digest(steps: usize) -> u64 {
     digest.0
 }
 
-/// The chaos-mix digest after 600 steps, taken before the refactor.
+/// The chaos-mix digest after 600 steps.
 const CHAOS_DIGEST: u64 = 0xb646_5daa_15db_3b26;
-/// The multi-pod digest after 300 steps, taken before the refactor.
+/// The multi-pod digest after 300 steps.
 const MULTIPOD_DIGEST: u64 = 0x6b9d_bcb1_bc1f_9ab0;
 
 #[test]

@@ -29,7 +29,7 @@ impl std::fmt::Display for VnfInstanceId {
 
 /// Where a VNF instance runs: on a server (electronic domain) or on an
 /// optoelectronic router (optical domain, §IV.D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum HostLocation {
     /// Electronic host.
     Server(ServerId),

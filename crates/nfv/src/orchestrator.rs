@@ -350,7 +350,7 @@ impl Orchestrator {
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
     ) -> Result<NfcId, Error> {
-        self.deploy_request(dc, tenant.into(), vms, spec, None, constructor, placer)
+        self.deploy_request(dc, (tenant.into(), vms, spec), None, constructor, placer)
     }
 
     /// Deploys a batch of chains at once: abstraction layers for all
@@ -392,8 +392,8 @@ impl Orchestrator {
             .into_iter()
             .zip(layers)
             .map(|((tenant, vms, spec), layer)| {
-                let layer = layer.ok();
-                self.deploy_request(dc, tenant.into(), vms, spec, layer, constructor, placer)
+                let request = (tenant.into(), vms, spec);
+                self.deploy_request(dc, request, layer.ok(), constructor, placer)
             })
             .collect()
     }
@@ -401,13 +401,10 @@ impl Orchestrator {
     /// Validates one request, builds its slice — adopting the pre-built
     /// `layer` when it is still valid and conflict-free, constructing one
     /// otherwise — and deploys the chain into it. Rolls back on error.
-    #[allow(clippy::too_many_arguments)]
     fn deploy_request(
         &mut self,
         dc: &DataCenter,
-        tenant: LabelId,
-        vms: Vec<VmId>,
-        spec: ChainSpec,
+        (tenant, vms, spec): (LabelId, Vec<VmId>, ChainSpec),
         layer: Option<AbstractionLayer>,
         constructor: &dyn AlConstruct,
         placer: &dyn VnfPlacer,
@@ -572,9 +569,7 @@ impl Orchestrator {
         self.release(id, Part::All);
         let chain = self.chains.get_mut(&id).expect("checked above");
         chain.nfc = Nfc::new(id, new_spec);
-        chain.hosts = admitted.hosts;
-        chain.path = admitted.path;
-        chain.edges = admitted.edges;
+        chain.adopt(admitted);
         self.commit(id, Part::All);
         // Replicas mirrored the old VNF set.
         for replica in self.replicas_of(id) {

@@ -411,24 +411,23 @@ impl Orchestrator {
         self.release(id, Part::Network);
         let chain = self.chains.get_mut(&id).expect("affected chain exists");
         chain.edges.clear();
-        let (ingress, egress) = (chain.nfc.spec().ingress, chain.nfc.spec().egress);
-        let hosts = chain.hosts.clone();
-
-        if !self.server_usable(dc.server_of_vm(ingress))
-            || !self.server_usable(dc.server_of_vm(egress))
+        let chain = &self.chains[&id];
+        let spec = chain.nfc.spec();
+        if !self.server_usable(dc.server_of_vm(spec.ingress))
+            || !self.server_usable(dc.server_of_vm(spec.egress))
         {
             self.discard_chain(id);
             return RecoveryOutcome::Unrecoverable(DeployError::EndpointFailed);
         }
 
         // Rung 1: same hosts, new route inside the slice.
-        if hosts.iter().all(|&h| self.host_up(h)) && self.try_reroute(dc, id, hosts).is_ok() {
+        if chain.hosts.iter().all(|&h| self.host_up(h)) && self.try_reroute(dc, id).is_ok() {
             self.degraded.remove(&id);
             return RecoveryOutcome::Rerouted;
         }
 
         // Rung 2: re-place on healthy hosts inside the slice.
-        let replace_err = match self.try_replace(dc, id, placer, Scope::HealthySlice) {
+        let replace_err = match self.try_replace(dc, id, placer, Scope::Slice) {
             Ok(()) => {
                 self.degraded.remove(&id);
                 return RecoveryOutcome::Replaced;
@@ -457,24 +456,15 @@ impl Orchestrator {
     /// Rung 1: route the chain's existing hosts inside its slice and
     /// commit the new route. The chain's network state must already be
     /// released.
-    fn try_reroute(
-        &mut self,
-        dc: &DataCenter,
-        id: NfcId,
-        hosts: Vec<HostLocation>,
-    ) -> Result<(), DeployError> {
+    fn try_reroute(&mut self, dc: &DataCenter, id: NfcId) -> Result<(), DeployError> {
         let chain = &self.chains[&id];
-        let admitted = self.admit(
-            dc,
-            id,
-            chain.nfc.spec(),
-            chain.cluster,
-            Hosts::Keep(hosts),
-            Scope::HealthySlice,
-        )?;
-        let chain = self.chains.get_mut(&id).expect("chain exists");
-        chain.path = admitted.path;
-        chain.edges = admitted.edges;
+        let hosts = Hosts::Keep(chain.hosts.clone());
+        let spec = chain.nfc.spec();
+        let admitted = self.admit(dc, id, spec, chain.cluster, hosts, Scope::Slice)?;
+        self.chains
+            .get_mut(&id)
+            .expect("chain exists")
+            .adopt(admitted);
         self.commit(id, Part::Network);
         Ok(())
     }
@@ -502,10 +492,10 @@ impl Orchestrator {
             )
         })?;
         self.release(id, Part::Hosts);
-        let chain = self.chains.get_mut(&id).expect("chain exists");
-        chain.hosts = admitted.hosts;
-        chain.path = admitted.path;
-        chain.edges = admitted.edges;
+        self.chains
+            .get_mut(&id)
+            .expect("chain exists")
+            .adopt(admitted);
         self.commit(id, Part::All);
         Ok(())
     }

@@ -133,10 +133,12 @@ impl SdnController {
         for &n in path.nodes() {
             *incoming.entry(n).or_insert(0) += 1;
         }
-        for (&n, &add) in &incoming {
+        // Walk the path, not the map: the error names the first saturated
+        // switch along the path, the same one on every run.
+        for &n in path.nodes() {
             let current =
                 self.per_switch.get(&n).copied().unwrap_or(0) - freed.get(&n).copied().unwrap_or(0);
-            if current + add > limit {
+            if current + incoming[&n] > limit {
                 return Err(TableFull { switch: n, limit });
             }
         }
@@ -324,6 +326,19 @@ mod table_limit_tests {
         assert_eq!(ctl.rules_on_switch(NodeId(0)), 0);
         // But a different chain cannot use switch 1.
         assert!(ctl.try_install_path(NfcId(1), &path(&[1, 3])).is_err());
+    }
+
+    #[test]
+    fn table_full_names_the_first_saturated_switch_on_the_path() {
+        // Every switch of the path is full; each fresh controller (with
+        // its own hash seeds) must name the same one, the first.
+        for _ in 0..20 {
+            let mut ctl = SdnController::with_table_limit(1);
+            let p = path(&[5, 3, 7, 1, 6, 2, 4, 0]);
+            ctl.install_path(NfcId(0), &p);
+            let err = ctl.try_install_path(NfcId(1), &p).unwrap_err();
+            assert_eq!(err.switch, NodeId(5));
+        }
     }
 
     #[test]

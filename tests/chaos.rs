@@ -204,6 +204,56 @@ fn orchestrator_survives_chaotic_operation_mix() {
     assert_eq!(orch.manager().availability().blocked_count(), 0);
 }
 
+/// A layer whose rebuild failed keeps listing its failed OPS; modifying
+/// the chain afterwards must not place a VNF on that switch.
+#[test]
+fn modify_after_failed_rebuild_avoids_the_failed_ops() {
+    let dc = AlvcTopologyBuilder::new()
+        .racks(6)
+        .servers_per_rack(2)
+        .vms_per_server(2)
+        .ops_count(6)
+        .tor_ops_degree(2)
+        .opto_fraction(1.0)
+        .interconnect(OpsInterconnect::FullMesh)
+        .seed(0)
+        .build();
+    let vms: Vec<_> = dc.vm_ids().collect();
+    let (a_vms, b_vms) = vms.split_at(vms.len() / 2);
+    let mut orch = Orchestrator::new();
+    let deploy = |orch: &mut Orchestrator, tenant: &str, group: &[alvc::topology::VmId]| {
+        let spec = fig5::black(group[0], *group.last().unwrap());
+        orch.deploy_chain(
+            &dc,
+            tenant,
+            group.to_vec(),
+            spec,
+            &PaperGreedy::new(),
+            &OpticalFirstPlacer::new(),
+        )
+        .expect("roomy enough for two tenants")
+    };
+    let a = deploy(&mut orch, "a", a_vms);
+    deploy(&mut orch, "b", b_vms);
+    let cluster = orch.chain(a).unwrap().cluster();
+    let failed = orch.manager().cluster(cluster).unwrap().al().ops()[0];
+    let _ = orch.fail_ops(&dc, failed, &PaperGreedy::new(), &OpticalFirstPlacer::new());
+    assert!(
+        orch.manager()
+            .cluster(cluster)
+            .unwrap()
+            .al()
+            .ops()
+            .contains(&failed),
+        "the rebuild fails on this pool, so the layer keeps the failed switch"
+    );
+    // Either outcome is legal; a route through the failed switch is not.
+    let spec = fig5::blue(a_vms[0], *a_vms.last().unwrap());
+    let _ = orch.modify_chain(&dc, a, spec, &OpticalFirstPlacer::new());
+    assert!(orch.verify_no_failed_references(&dc));
+    assert_eq!(orch.audit(&dc), vec![]);
+}
+
 #[test]
 fn cluster_manager_survives_failure_storm_with_redundancy() {
     let dc = build();
