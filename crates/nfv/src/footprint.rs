@@ -335,7 +335,7 @@ impl Orchestrator {
     /// edge. Marks everything it touches in the change set.
     pub(crate) fn commit(&mut self, id: NfcId, part: Part) {
         let chain = &self.chains[&id];
-        let (cluster, members) = (chain.cluster, members(chain));
+        let cluster = chain.cluster;
         if part.network() {
             let kb = kbps(chain.nfc.spec().bandwidth_gbps);
             self.sdn.install_path(id, &chain.path);
@@ -345,7 +345,7 @@ impl Orchestrator {
             self.changes.edges(&chain.edges);
         }
         if part.hosts() {
-            let instances = members
+            let instances = members(chain)
                 .into_iter()
                 .map(|(host, vnf)| {
                     self.charge(host, &vnf.demand);
@@ -463,7 +463,7 @@ impl Orchestrator {
         let mut usage = BTreeMap::new();
         let mut rules = BTreeMap::new();
         let mut instances = BTreeMap::new();
-        let mut charge = |host: HostLocation, demand: &ResourceDemand| {
+        let mut add_usage = |host: HostLocation, demand: &ResourceDemand| {
             let used: &mut ResourceDemand = usage.entry(host).or_default();
             *used = used.plus(demand);
         };
@@ -477,7 +477,7 @@ impl Orchestrator {
             }
             for (&iid, (host, vnf)) in chain.instances.iter().zip(members(chain)) {
                 instances.insert(iid, Some(host));
-                charge(host, &vnf.demand);
+                add_usage(host, &vnf.demand);
             }
             let installed = self.sdn.rules_for_chain(id).iter().map(|r| r.switch);
             let bound = self.slices.cluster_of(id) == Some(chain.cluster)
@@ -495,7 +495,7 @@ impl Orchestrator {
             match self.instances.get(&iid) {
                 Some(inst) if owned => {
                     instances.insert(iid, Some(inst.host()));
-                    charge(inst.host(), &inst.spec().demand);
+                    add_usage(inst.host(), &inst.spec().demand);
                 }
                 _ => out.push(V::Replica(iid)),
             }
